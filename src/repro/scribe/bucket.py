@@ -43,6 +43,24 @@ class Bucket:
         self._bytes_appended += len(payload)
         return offset
 
+    def append_many(self, payloads: list[bytes], write_time: float,
+                    visible_at: float) -> int:
+        """Store messages sharing one write stamp; return the first offset.
+
+        The batch form of :meth:`append`: the messages get consecutive
+        offsets, and the log, the visibility array and the byte count
+        each grow once per call instead of once per message.
+        """
+        first = self._base_offset + len(self._messages)
+        category, index = self.category, self.index
+        self._messages.extend([
+            Message(category, index, offset, write_time, payload)
+            for offset, payload in enumerate(payloads, first)
+        ])
+        self._visible_at.extend([visible_at] * len(payloads))
+        self._bytes_appended += sum(map(len, payloads))
+        return first
+
     # -- reads --------------------------------------------------------------
 
     @property

@@ -194,6 +194,57 @@ class ScribeStore:
         nbytes.increment(len(payload))
         return offset
 
+    def write_batch_to(self, category: Category, payloads: list[bytes],
+                       buckets: list[int]) -> list[int]:
+        """Append many payloads via a pre-resolved handle; return offsets.
+
+        ``buckets`` holds each payload's bucket. The batch form of
+        :meth:`write_to`, with the same results message for message: the
+        clock is read once, payloads are grouped by bucket and appended
+        with one :meth:`Bucket.append_many` per bucket (keeping their
+        order within each bucket), and the category's write counters move
+        once. On a gated category credits are acquired record by record
+        in order; the prefix that got one is appended and counted, then
+        :class:`~repro.errors.Backpressure` is raised for the first
+        record that did not — where a loop of :meth:`write_to` raises.
+        """
+        refused = None
+        if self._gates:
+            gate = self._gates.get(category.name)
+            if gate is not None:
+                for accepted, bucket in enumerate(buckets):
+                    if not gate.try_acquire(bucket):
+                        refused = Backpressure(category.name, bucket,
+                                               gate.outstanding(bucket),
+                                               gate.max_outstanding)
+                        payloads = payloads[:accepted]
+                        buckets = buckets[:accepted]
+                        break
+        groups: dict[int, list[bytes]] = {}
+        for payload, bucket in zip(payloads, buckets):
+            group = groups.get(bucket)
+            if group is None:
+                groups[bucket] = group = []
+            group.append(payload)
+        now = self.clock.now()
+        visible_at = now + self.delivery_delay
+        next_offset = {
+            bucket: category.bucket(bucket).append_many(group, now, visible_at)
+            for bucket, group in groups.items()
+        }
+        offsets = []
+        for bucket in buckets:
+            offset = next_offset[bucket]
+            offsets.append(offset)
+            next_offset[bucket] = offset + 1
+        if payloads:
+            messages, nbytes = self._counters_for(category.name)
+            messages.increment(len(payloads))
+            nbytes.increment(sum(map(len, payloads)))
+        if refused is not None:
+            raise refused
+        return offsets
+
     def write_record(self, category_name: str, record: Mapping[str, Any],
                      key: str | None = None, bucket: int | None = None) -> int:
         """Serialize a record (see :mod:`repro.serde`) and append it."""

@@ -53,24 +53,28 @@ class ScribeWriter:
                     keys: list[str] | None = None) -> list[int]:
         """Serialize and append many records; return their offsets.
 
-        One serde call and one handle resolution for the whole batch —
-        the write-side twin of :func:`repro.serde.decode_batch`. With
-        ``keys`` (one per record), the per-record buckets come from one
-        vectorized :func:`~repro.core.sharding.shards_for_keys` pass
-        instead of a hash-and-validate call per record.
+        One serde call, one handle resolution and one
+        :meth:`~repro.scribe.store.ScribeStore.write_batch_to` append for
+        the whole batch — the write-side twin of
+        :func:`repro.serde.decode_batch`. With ``keys`` (one per record),
+        the per-record buckets come from one vectorized
+        :func:`~repro.core.sharding.shards_for_keys` pass instead of a
+        hash-and-validate call per record; with a single ``key`` (or
+        none) every record lands in that key's bucket.
         """
-        write_to = self.store.write_to
         category = self._category
-        payloads = serde.encode_batch(records)
         if keys is not None:
             if len(keys) != len(records):
                 raise ValueError(
                     f"{len(records)} records but {len(keys)} keys"
                 )
             buckets = shards_for_keys(keys, category.num_buckets)
-            return [write_to(category, payload, bucket=bucket)
-                    for payload, bucket in zip(payloads, buckets)]
-        return [write_to(category, payload, key=key) for payload in payloads]
+        else:
+            bucket = (0 if key is None
+                      else default_bucketer(key, category.num_buckets))
+            buckets = [bucket] * len(records)
+        return self.store.write_batch_to(category, serde.encode_batch(records),
+                                         buckets)
 
     def write_bytes(self, payload: bytes, key: str | None = None) -> int:
         return self.store.write_to(self._category, payload, key=key)

@@ -33,11 +33,25 @@ class SerdeError(ReproError):
     """A payload could not be encoded or decoded."""
 
 
+def _encode_fallback(value: Any) -> Any:
+    # Tuples arrive here only inside nested structures; keep them as lists.
+    if isinstance(value, tuple):
+        return list(value)
+    raise TypeError(f"unsupported type {type(value).__name__}")
+
+
+#: The one encoder every call shares. ``json.dumps`` with non-default
+#: arguments builds a fresh ``JSONEncoder`` per call; this is the same
+#: configuration built once (the encoder keeps no state between calls),
+#: so the output is byte-identical.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True,
+                            default=_encode_fallback)
+
+
 def encode(record: Mapping[str, Any]) -> bytes:
     """Serialize a flat record (a mapping of field name to value) to bytes."""
     try:
-        return json.dumps(record, separators=(",", ":"), sort_keys=True,
-                          default=_encode_fallback).encode("utf-8")
+        return _ENCODER.encode(record).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise SerdeError(f"cannot encode record: {exc}") from exc
 
@@ -55,14 +69,9 @@ def decode(payload: bytes) -> dict[str, Any]:
 
 def encode_batch(records: Iterable[Mapping[str, Any]]) -> list[bytes]:
     """Serialize many records in one pass (output matches :func:`encode`)."""
-    dumps = json.dumps
-    fallback = _encode_fallback
+    encode_one = _ENCODER.encode
     try:
-        return [
-            dumps(record, separators=(",", ":"), sort_keys=True,
-                  default=fallback).encode("utf-8")
-            for record in records
-        ]
+        return [encode_one(record).encode("utf-8") for record in records]
     except (TypeError, ValueError) as exc:
         raise SerdeError(f"cannot encode record: {exc}") from exc
 
@@ -108,19 +117,12 @@ def decode_batch(payloads: Iterable[bytes],
 def encoded_size(record: Mapping[str, Any]) -> int:
     """Size in bytes of the encoded record.
 
-    ``json.dumps`` with the default ``ensure_ascii=True`` emits pure
-    ASCII, so the UTF-8 byte length equals the string length — the
+    The shared encoder keeps the default ``ensure_ascii=True`` and so
+    emits pure ASCII: the UTF-8 byte length equals the string length — the
     str→bytes encode (the second encode the seed paid) is skipped.
     """
     try:
-        return len(json.dumps(record, separators=(",", ":"), sort_keys=True,
-                              default=_encode_fallback))
+        return len(_ENCODER.encode(record))
     except (TypeError, ValueError) as exc:
         raise SerdeError(f"cannot encode record: {exc}") from exc
 
-
-def _encode_fallback(value: Any) -> Any:
-    # Tuples arrive here only inside nested structures; keep them as lists.
-    if isinstance(value, tuple):
-        return list(value)
-    raise TypeError(f"unsupported type {type(value).__name__}")

@@ -2,8 +2,12 @@
 
 Architecture (a faithful miniature of RocksDB's write path):
 
-- mutations append to a :class:`~repro.storage.wal.WriteAheadLog`, then
-  apply to the :class:`~repro.storage.memtable.Memtable`;
+- every :meth:`LsmStore.write_batch` is validated whole, appended to the
+  :class:`~repro.storage.wal.WriteAheadLog` as **one** record (one
+  sequence number, like a RocksDB ``WriteBatch``), then applied to the
+  :class:`~repro.storage.memtable.Memtable` in one pass that sizes the
+  batch once; ``put``/``delete``/``merge`` are batches of one, and WAL
+  replay in :meth:`LsmStore.recover` goes through the same apply;
 - when the memtable exceeds ``memtable_flush_bytes`` it flushes to an
   immutable :class:`~repro.storage.sstable.SSTable` at level 0;
 - when the run count exceeds ``compaction_trigger``, one *bounded*
@@ -21,8 +25,9 @@ Read path: every run carries a bloom filter and key range, so a point
 read probes only the runs that might hold the key — a read of an absent
 key usually touches none (see :class:`LsmStats`, which counts probes and
 skips). A bounded LRU row cache short-circuits repeated point reads of
-hot keys; it is invalidated per key on writes and bypassed by scans so
-range queries cannot evict the hot set.
+hot keys; a write batch invalidates the keys it touches (skipped while
+the cache is empty), and scans bypass the cache so range queries cannot
+evict the hot set.
 
 Durability model: the WAL and SSTables live in a *disk namespace* — by
 default a private dict, but a Stylus processor passes its machine's
@@ -37,14 +42,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import StoreClosed
 from repro.storage.bloom import hash_pair
 from repro.storage.memtable import Entry, EntryKind, Memtable
 from repro.storage.merge import MergeOperator
 from repro.storage.sstable import SSTable
-from repro.storage.wal import WalOp, WriteAheadLog
+from repro.storage.wal import WalRecord, WriteAheadLog
 
 _DISK_KEY = "lsm"
 
@@ -122,8 +127,10 @@ class _RowCache:
         if len(entries) > self.capacity:
             entries.popitem(last=False)
 
-    def invalidate(self, key: str) -> None:
-        self._entries.pop(key, None)
+    def invalidate_many(self, keys: Iterable[str]) -> None:
+        pop = self._entries.pop
+        for key in keys:
+            pop(key, None)
 
     def clear(self) -> None:
         self._entries.clear()
@@ -187,61 +194,62 @@ class LsmStore:
         self._check_open()
         if value is None:
             raise ValueError("None values are reserved; use delete()")
-        self._wal.append(WalOp.PUT, key, value)
-        self._memtable.put(key, value)
-        if self._row_cache is not None:
-            self._row_cache.invalidate(key)
-        self._maybe_flush()
+        self._write({key: value}, (), ())
 
     def delete(self, key: str) -> None:
         self._check_open()
-        self._wal.append(WalOp.DELETE, key)
-        self._memtable.delete(key)
-        if self._row_cache is not None:
-            self._row_cache.invalidate(key)
-        self._maybe_flush()
+        self._write({}, (key,), ())
 
     def merge(self, key: str, operand: Any) -> None:
         """Append a merge operand (requires a merge operator)."""
         self._check_open()
         if self.merge_operator is None:
             raise ValueError(f"store {self.name!r} has no merge operator")
-        self._wal.append(WalOp.MERGE, key, operand)
-        self._memtable.merge(key, operand)
-        if self._row_cache is not None:
-            self._row_cache.invalidate(key)
-        self._maybe_flush()
+        self._write({}, (), ((key, operand),))
 
-    def write_batch(self, puts: dict[str, Any] | None = None,
-                    deletes: list[str] | None = None,
-                    merges: list[tuple[str, Any]] | None = None) -> None:
-        """Apply a group of mutations.
+    def write_batch(self, puts: Mapping[str, Any] | None = None,
+                    deletes: Iterable[str] | None = None,
+                    merges: Iterable[tuple[str, Any]] | None = None) -> None:
+        """Apply a group of mutations as one atomic batch.
 
-        Atomic at our failure granularity: simulated crashes happen between
-        public calls, never inside one, so a batch is all-or-nothing.
+        The whole batch is validated before anything is written, then
+        logged as a single WAL record (one sequence number, like a
+        RocksDB ``WriteBatch``) and applied to the memtable in one pass:
+        puts, then deletes, then merge operands. A rejected batch leaves
+        the WAL, the memtable and every read unchanged; simulated crashes
+        happen between public calls, never inside one, so an accepted
+        batch is all-or-nothing too.
         """
         self._check_open()
-        cache = self._row_cache
-        for key, value in (puts or {}).items():
+        puts = dict(puts) if puts else {}
+        deletes = tuple(deletes) if deletes else ()
+        merges = tuple(merges) if merges else ()
+        for value in puts.values():
             if value is None:
-                raise ValueError("None values are reserved; use deletes")
-            self._wal.append(WalOp.PUT, key, value)
-            self._memtable.put(key, value)
-            if cache is not None:
-                cache.invalidate(key)
-        for key in deletes or []:
-            self._wal.append(WalOp.DELETE, key)
-            self._memtable.delete(key)
-            if cache is not None:
-                cache.invalidate(key)
-        for key, operand in merges or []:
-            if self.merge_operator is None:
-                raise ValueError(f"store {self.name!r} has no merge operator")
-            self._wal.append(WalOp.MERGE, key, operand)
-            self._memtable.merge(key, operand)
-            if cache is not None:
-                cache.invalidate(key)
+                raise ValueError("None values are reserved; use delete()")
+        if merges and self.merge_operator is None:
+            raise ValueError(f"store {self.name!r} has no merge operator")
+        if puts or deletes or merges:
+            self._write(puts, deletes, merges)
+
+    def _write(self, puts: dict[str, Any], deletes: tuple[str, ...],
+               merges: tuple[tuple[str, Any], ...]) -> None:
+        """Log one validated batch as one WAL record, apply it, maybe flush.
+
+        ``put``/``delete``/``merge`` are batches of one that skip
+        :meth:`write_batch`'s normalizing copies.
+        """
+        self._apply(self._wal.append(puts, deletes, merges))
         self._maybe_flush()
+
+    def _apply(self, record: WalRecord) -> None:
+        """Apply a logged batch to the memtable (live writes and replay)."""
+        self._memtable.apply(record.puts, record.deletes, record.merges)
+        cache = self._row_cache
+        if cache:  # None, or empty: nothing cached can go stale
+            cache.invalidate_many(record.puts)
+            cache.invalidate_many(record.deletes)
+            cache.invalidate_many([key for key, _ in record.merges])
 
     # -- reads ----------------------------------------------------------------
 
@@ -617,20 +625,19 @@ class LsmStore:
             self._row_cache.clear()
 
     def recover(self) -> int:
-        """Rebuild the memtable from unflushed WAL records; return count."""
+        """Rebuild the memtable from unflushed WAL records.
+
+        Returns the number of *mutations* replayed (not WAL records):
+        modeled recovery costs are per mutation, whatever the batching.
+        """
         self._memtable = Memtable()
         if self._row_cache is not None:
             self._row_cache.clear()
         state = self._disk_state()
         count = 0
         for record in state["wal"].records_since(state["flushed_seq"]):
-            if record.op == WalOp.PUT:
-                self._memtable.put(record.key, record.value)
-            elif record.op == WalOp.DELETE:
-                self._memtable.delete(record.key)
-            else:
-                self._memtable.merge(record.key, record.value)
-            count += 1
+            self._apply(record)
+            count += record.mutations
         return count
 
     def close(self) -> None:

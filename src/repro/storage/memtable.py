@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator, Mapping
 
 
 class EntryKind(enum.Enum):
@@ -47,6 +47,11 @@ class Entry:
         return self.kind != EntryKind.MERGE
 
 
+# Module-level aliases: an enum member lookup per mutation is measurable
+# on the write path.
+_PUT, _TOMBSTONE, _MERGE = EntryKind.PUT, EntryKind.TOMBSTONE, EntryKind.MERGE
+
+
 class Memtable:
     """Mutable key -> :class:`Entry` buffer with approximate sizing."""
 
@@ -62,32 +67,45 @@ class Memtable:
         return self._approximate_bytes
 
     def put(self, key: str, value: Any) -> None:
-        self._entries[key] = Entry.put(value)
-        self._account(key, value)
+        self.apply({key: value}, (), ())
 
     def delete(self, key: str) -> None:
-        self._entries[key] = Entry.tombstone()
-        self._account(key, None)
+        self.apply({}, (key,), ())
 
     def merge(self, key: str, operand: Any) -> None:
-        existing = self._entries.get(key)
-        if existing is None:
-            self._entries[key] = Entry.merge(operand)
-        elif existing.kind == EntryKind.MERGE:
-            existing.operands.append(operand)
-        elif existing.kind == EntryKind.TOMBSTONE:
-            # A merge over a deletion starts from the operator's identity;
-            # record that by replacing the tombstone with a bare chain
-            # tagged as terminal via a PUT of None? No: keep the tombstone
-            # semantics explicit — a merge after delete begins a fresh
-            # chain whose base is identity, which is what a PUT-less chain
-            # over a tombstone resolves to. We model it by converting to a
-            # chain and remembering it must not fall through.
-            self._entries[key] = Entry(EntryKind.PUT, value=None,
-                                       operands=[operand])
-        else:  # PUT (possibly with a trailing operand list)
-            existing.operands.append(operand)
-        self._account(key, operand)
+        self.apply({}, (), ((key, operand),))
+
+    def apply(self, puts: Mapping[str, Any], deletes: Iterable[str],
+              merges: Iterable[tuple[str, Any]]) -> None:
+        """Apply one write batch: its puts, then deletes, then operands.
+
+        Merge operands fold into their key's entry in one loop, and the
+        batch's size estimate — the sum of the same per-entry sizes a
+        mutation-at-a-time memtable would add — is accounted once.
+        """
+        entries = self._entries
+        existing_entry = entries.get
+        added = 0
+        for key, value in puts.items():
+            entries[key] = Entry(_PUT, value, [])
+            added += len(key) + _sizeof(value)
+        for key in deletes:
+            entries[key] = Entry(_TOMBSTONE, None, [])
+            added += len(key) + _NONE_SIZE
+        for key, operand in merges:
+            existing = existing_entry(key)
+            if existing is None:
+                entries[key] = Entry(_MERGE, None, [operand])
+            elif existing.kind is _TOMBSTONE:
+                # A merge over a deletion starts a fresh chain whose base
+                # is the operator's identity: a PUT of None with trailing
+                # operands, terminal so reads never fall through to the
+                # older (deleted) value.
+                entries[key] = Entry(_PUT, None, [operand])
+            else:  # MERGE chain, or PUT with trailing operands
+                existing.operands.append(operand)
+            added += len(key) + _sizeof(operand)
+        self._approximate_bytes += added
 
     def get(self, key: str) -> Entry | None:
         return self._entries.get(key)
@@ -100,14 +118,22 @@ class Memtable:
     def keys(self) -> list[str]:
         return sorted(self._entries)
 
-    def _account(self, key: str, value: Any) -> None:
-        self._approximate_bytes += len(key) + _sizeof(value)
+
+#: Size estimate of a value-less entry (a tombstone).
+_NONE_SIZE = 8
+
+
+#: Ints inside this range hold at most two 30-bit digits, so
+#: ``sys.getsizeof`` is at most 32 and their estimate is the floor of 8.
+_SMALL_INT = 1 << 60
 
 
 def _sizeof(value: Any) -> int:
     """Cheap size estimate; exactness doesn't matter, monotonicity does."""
     if value is None:
-        return 8
+        return _NONE_SIZE
+    if value.__class__ is int and -_SMALL_INT < value < _SMALL_INT:
+        return 8  # the common counter operand, without sys.getsizeof
     if isinstance(value, str):
         return len(value)
     if isinstance(value, (list, tuple, set)):

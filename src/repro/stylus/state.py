@@ -196,9 +196,10 @@ class LocalDbStateBackend(StateBackend):
     at-least-once replay from Scribe then regenerates).
     """
 
-    #: Modeled recovery costs (seconds): WAL replay is per record; an HDFS
-    #: restore pays a fixed mount plus per-entry transfer. Used only for
-    #: reporting, never for control flow.
+    #: Modeled recovery costs (seconds): WAL replay is per replayed
+    #: mutation (not per batch record); an HDFS restore pays a fixed
+    #: mount plus per-entry transfer. Used only for reporting, never for
+    #: control flow.
     WAL_REPLAY_PER_RECORD = 1e-5
     HDFS_RESTORE_FIXED = 2.0
     HDFS_RESTORE_PER_ENTRY = 1e-4

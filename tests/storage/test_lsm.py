@@ -186,6 +186,41 @@ class TestRecovery:
         assert store.get("a") == 1
         assert store.get("c") == 3
 
+    def test_write_batch_is_one_wal_record(self, store):
+        store.write_batch(puts={"a": 1, "b": 2}, deletes=["x"],
+                          merges=[("c", 3), ("c", 4)])
+        assert len(store._wal) == 1
+        store.drop_memory()
+        assert store.recover() == 5  # mutations, not records
+        assert store.get("c") == 7
+
+    @pytest.mark.parametrize("merge_operator, batch", [
+        (CounterMergeOperator(), {"puts": {"a": 1, "b": None}}),
+        (CounterMergeOperator(),
+         {"puts": {"a": 1, "z": None}, "deletes": ["old"],
+          "merges": [("c", 1)]}),
+        (None, {"puts": {"a": 1}, "deletes": ["old"], "merges": [("c", 1)]}),
+    ], ids=["none-put", "none-put-in-mixed-batch", "merges-without-operator"])
+    def test_rejected_batch_changes_nothing(self, merge_operator, batch):
+        store = LsmStore(merge_operator=merge_operator,
+                         memtable_flush_bytes=1 << 30)
+        store.put("old", 1)
+        store.put("a", 0)
+        assert store.get("a") == 0  # warm the row cache
+        wal_records = len(store._wal)
+        memtable = (store.memtable_size, store._memtable.approximate_bytes)
+        with pytest.raises(ValueError):
+            store.write_batch(**batch)
+        assert len(store._wal) == wal_records
+        assert (store.memtable_size,
+                store._memtable.approximate_bytes) == memtable
+        assert store.get("a") == 0
+        assert store.get("old") == 1
+        assert store.get("c") is None
+        store.drop_memory()
+        assert store.recover() == 2
+        assert dict(store.scan()) == {"a": 0, "old": 1}
+
 
 class TestIncrementalCompaction:
     def make(self, **kwargs):

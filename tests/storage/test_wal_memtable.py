@@ -1,35 +1,42 @@
 """Tests for the write-ahead log and the memtable."""
 
 from repro.storage.memtable import EntryKind, Memtable
-from repro.storage.wal import WalOp, WriteAheadLog
+from repro.storage.wal import WriteAheadLog
 
 
 class TestWriteAheadLog:
     def test_sequence_numbers_are_dense(self):
         wal = WriteAheadLog()
-        records = [wal.append(WalOp.PUT, f"k{i}", i) for i in range(5)]
+        records = [wal.append(puts={f"k{i}": i}) for i in range(5)]
         assert [r.sequence for r in records] == [0, 1, 2, 3, 4]
         assert wal.next_sequence == 5
 
     def test_records_since(self):
         wal = WriteAheadLog()
         for i in range(6):
-            wal.append(WalOp.PUT, f"k{i}", i)
+            wal.append(puts={f"k{i}": i})
         tail = list(wal.records_since(4))
-        assert [r.key for r in tail] == ["k4", "k5"]
+        assert [list(r.puts) for r in tail] == [["k4"], ["k5"]]
 
     def test_truncate_keeps_sequence_numbering(self):
         wal = WriteAheadLog()
         for i in range(5):
-            wal.append(WalOp.PUT, f"k{i}", i)
+            wal.append(puts={f"k{i}": i})
         assert wal.truncate_before(3) == 3
         assert len(wal) == 2
-        record = wal.append(WalOp.DELETE, "x")
+        record = wal.append(deletes=("x",))
         assert record.sequence == 5
+
+    def test_one_record_carries_a_whole_batch(self):
+        wal = WriteAheadLog()
+        record = wal.append({"a": 1}, ("b",), (("c", 2), ("c", 3)))
+        assert record.sequence == 0
+        assert record.mutations == 4
+        assert len(wal) == 1 and wal.next_sequence == 1
 
     def test_truncate_is_idempotent(self):
         wal = WriteAheadLog()
-        wal.append(WalOp.PUT, "a", 1)
+        wal.append(puts={"a": 1})
         wal.truncate_before(1)
         assert wal.truncate_before(1) == 0
 
