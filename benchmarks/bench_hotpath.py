@@ -446,6 +446,63 @@ def bench_delta_checkpoint(n: int, restarts: int = 50) -> BenchResult:
     )
 
 
+def bench_puma_query(groups: int, windows: int = 32,
+                     queries: int = 200) -> BenchResult:
+    """The dashboard read: Puma's newest window, with history behind it.
+
+    ``windows`` one-minute windows of ``groups`` pages each are
+    checkpointed to HBase, then the newest window is queried.
+    ``history_scan_factor`` is the HBase rows one query visits divided
+    by the rows it returns, counted by wrapping ``scan`` here: 1.0 when
+    a query reads only its own window, ``windows`` when it reads the
+    table's whole history.
+    """
+    scribe = ScribeStore(clock=SimClock())
+    scribe.create_category("puma_in", num_buckets=1)
+    writer = ScribeWriter(scribe, "puma_in")
+    per_window = groups * 4
+    for i in range(windows * per_window):
+        writer.write_to_bucket({"event_time": i * 60.0 / per_window,
+                                "page": f"p{i % groups}",
+                                "user": f"user-{i % 997}"}, 0)
+    app = PumaApp(plan(parse(_PUMA_BENCH_SOURCE)), scribe,
+                  HBaseTable("bench-query"), checkpoint_every_events=1000,
+                  clock=scribe.clock)
+    while app.pump(10_000):
+        pass
+    app.checkpoint()
+    newest = app.windows("by_page")[-1]
+
+    visited = [0]
+    scan = app.hbase.scan
+
+    def counting_scan(*args, **kwargs):
+        for item in scan(*args, **kwargs):
+            visited[0] += 1
+            yield item
+
+    app.hbase.scan = counting_scan
+    returned = len(app.query("by_page", newest))
+    del app.hbase.scan  # time the unwrapped method
+
+    def go() -> int:
+        for _ in range(queries):
+            app.query("by_page", newest)
+        return queries
+
+    wall, ops = timed(go)
+    return BenchResult(
+        "puma_query", wall, ops,
+        metrics={"ms_per_query": wall / max(1, ops) * 1e3},
+        counters={
+            "windows": float(windows),
+            "rows_per_window": float(returned),
+            "history_scan_factor": (visited[0] / returned
+                                    if returned else 0.0),
+        },
+    )
+
+
 class _NullBatchClient:
     """Swift batch client that models a zero-cost downstream app."""
 
@@ -998,6 +1055,7 @@ def run_hotpath(quick: bool = False) -> dict:
         bench_puma_pump(12_000 // scale),
         bench_puma_compiled(12_000 // scale),
         bench_delta_checkpoint(24_000 // scale),
+        bench_puma_query(128),
         bench_swift_pump(20_000 // scale),
         bench_scuba_ingest(20_000 // scale),
         bench_scuba_query(40_000 // scale),
@@ -1049,6 +1107,11 @@ def main(argv: list[str] | None = None) -> int:
           f"incremental checkpoint rewrote "
           f"{delta['counters']['checkpoint_write_fraction']:.0%} of "
           f"{delta['counters']['state_cells']:.0f} cells)")
+    query = report["benchmarks"]["puma_query"]
+    print(f"  puma one-window query: {query['ms_per_query']:.2f}ms, "
+          f"{query['counters']['history_scan_factor']:.1f}x the window's "
+          f"rows scanned ({query['counters']['windows']:.0f} windows of "
+          f"history)")
     scuba = report["benchmarks"]["scuba_query"]
     print(f"  scuba columnar speedup: {scuba['columnar_speedup']:.2f}x "
           f"({scuba['rows_ms_per_query']:.1f}ms -> "
@@ -1176,6 +1239,14 @@ if pytest is not None:
                           bench_delta_checkpoint(24_000).metrics[
                               "restart_speedup"])
         assert speedup >= 5.0, f"delta recovery speedup only {speedup:.2f}x"
+
+    @pytest.mark.perf_smoke
+    def test_puma_query_scans_only_its_window():
+        """The acceptance bar: a one-window query visits exactly that
+        window's HBase rows, not the 32 windows of history behind it."""
+        result = bench_puma_query(128)
+        assert result.counters["rows_per_window"] == 128
+        assert result.counters["history_scan_factor"] == 1.0
 
     @pytest.mark.perf_smoke
     def test_columnar_scuba_beats_row_scan():

@@ -147,6 +147,7 @@ _COUNTER_RULES: list[tuple[str, str]] = [
     ("probes_per_absent_read", "lower"),
     ("modeled_seconds_per_event", "lower"),
     ("cache_hits_per_refresh", "higher"),
+    ("history_scan_factor", "lower"),
 ]
 #: (benchmark, metric, floor): absolute acceptance bars checked on the
 #: *current* run alone. Speedup ratios are size-dependent (a quick run's

@@ -11,11 +11,12 @@ detected and retired — the third migration challenge the paper lists.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import ConfigError
-from repro.puma.app import PumaApp
+from repro.puma.app import PumaApp, metric_rank
 from repro.runtime.clock import Clock, WallClock
 from repro.runtime.metrics import MetricsRegistry
 from repro.scuba.ingest import ScubaIngester
@@ -58,11 +59,8 @@ class DashboardPanel:
                 if start <= window_start < end:
                     rows.extend(app.query_top_k(table, metric, limit,
                                                 window_start))
-            rows.sort(key=lambda r: (
-                -(r[metric][0] if isinstance(r[metric], list) and r[metric]
-                  else r[metric] if not isinstance(r[metric], list) else 0)
-            ,))
-            return rows[:limit]
+            return heapq.nlargest(limit, rows,
+                                  key=lambda row: metric_rank(row[metric]))
 
         return cls(name, run, backend="puma")
 

@@ -35,8 +35,10 @@ those flushed cells.
 
 from __future__ import annotations
 
+import heapq
 import json
 from bisect import insort
+from operator import itemgetter
 from typing import Any, Callable
 
 from repro import serde
@@ -61,6 +63,15 @@ from repro.storage.hbase import HBaseTable
 Row = dict[str, Any]
 
 _EXECUTORS = ("compiled", "batch", "row")
+
+
+def _group_json(group_key: tuple) -> str:
+    """A group key's text in its HBase row key.
+
+    Group values are scalars or tuples, so this equals the JSON of the
+    row's group column values, and query results sort on it.
+    """
+    return json.dumps(list(group_key), sort_keys=True)
 
 
 class PumaApp:  # lint: effect[output=at_least_once]
@@ -217,7 +228,7 @@ class PumaApp:  # lint: effect[output=at_least_once]
     def _state_row(self, table: str, window_start: float,
                    group_key: tuple) -> str:
         return (f"{self.name}|{table}|{window_start:020.6f}|"
-                f"{json.dumps(list(group_key), sort_keys=True)}")
+                f"{_group_json(group_key)}")
 
     def _recover(self) -> None:
         """Load saved offsets from HBase.
@@ -711,73 +722,99 @@ class PumaApp:  # lint: effect[output=at_least_once]
         """Pre-computed results for one table (optionally one window).
 
         Each row carries the group columns, the finalized aggregate
-        values, and ``window_start``.
+        values, and ``window_start``; rows sort by window, then by the
+        group values' JSON text. The cost follows the answer, not the
+        app's history: one window reads only its own HBase key range and
+        merges only its own dirty deltas — a clean delta is the monoid
+        identity, because a flush resets it.
         """
         table = self.plan.table(table_name)
         if table.kind != "aggregation":
             raise PlanningError(f"table {table_name!r} is not an aggregation")
         ctable = self._compiled_tables[table_name]
         aggregates = ctable.aggregates
-        cells: dict[tuple[float, tuple], dict[str, Any]] = {}
-        # The durable base: checkpointed and evicted cells ...
         prefix = f"{self.name}|{table_name}|"
+        if window_start is None:
+            dirty = sorted(key for key in self._dirty if key[0] == table_name)
+        else:
+            # Row keys sort by window, so one window is one key range
+            # (+ 0.0 maps -0.0 to 0.0, whose key text has no sign).
+            prefix += f"{window_start + 0.0:020.6f}|"
+            dirty = sorted(self._dirty & self._window_cells.get(
+                (table_name, window_start), set()))
+        # The durable base: checkpointed and evicted cells, each key
+        # decoded once; its group JSON text is also the row's sort key.
+        # (window, group) -> (group JSON, state)
+        cells: dict[tuple[float, tuple], tuple[str, dict[str, Any]]] = {}
         for row_key, columns in self.hbase.scan(prefix, prefix + "￿"):
             _, _, window_text, key_json = row_key.split("|", 3)
-            cells[(float(window_text), tuple(json.loads(key_json)))] = columns
-        # ... and the in-memory deltas monoid-merge on top of it.
-        for (name, start, group_key), delta in self._state.items():
-            if name != table_name:
-                continue
-            saved = cells.get((start, group_key))
-            if saved is None:
-                cells[(start, group_key)] = delta
-            else:
-                cells[(start, group_key)] = {
-                    aggregate.alias: (
-                        aggregate.merge(saved[aggregate.alias],
-                                        delta[aggregate.alias])
-                        if aggregate.alias in saved
-                        else delta[aggregate.alias])
-                    for aggregate in aggregates
-                }
-        rows: list[Row] = []
-        for (start, group_key), state in cells.items():
+            start = float(window_text)
             if window_start is not None and start != window_start:
+                break  # window_start is off the 6-decimal key grid
+            cells[(start, tuple(json.loads(key_json)))] = (key_json, columns)
+        # ... and the dirty deltas monoid-merge on top of it.
+        for _, start, group_key in dirty:
+            delta = self._state[(table_name, start, group_key)]
+            cell = cells.get((start, group_key))
+            if cell is None:
+                cells[(start, group_key)] = (_group_json(group_key), delta)
                 continue
+            key_json, saved = cell
+            cells[(start, group_key)] = (key_json, {
+                aggregate.alias: (
+                    aggregate.merge(saved[aggregate.alias],
+                                    delta[aggregate.alias])
+                    if aggregate.alias in saved
+                    else delta[aggregate.alias])
+                for aggregate in aggregates
+            })
+        # Two stable sorts order cells by (window, group JSON) without
+        # building a key tuple per row.
+        ordered = sorted(cells, key=lambda cell: cells[cell][0])
+        ordered.sort(key=itemgetter(0))
+        group_columns = ctable.group_columns
+        rows: list[Row] = []
+        for cell in ordered:
+            start, group_key = cell
+            state = cells[cell][1]
             row: Row = {"window_start": start}
-            for column, value in zip(ctable.group_columns, group_key):
+            for column, value in zip(group_columns, group_key):
                 row[column] = value
             for aggregate in aggregates:
                 row[aggregate.alias] = aggregate.result(state[aggregate.alias])
             rows.append(row)
-        rows.sort(key=lambda r: (r["window_start"],
-                                 json.dumps([r[c]
-                                             for c in ctable.group_columns])))
         return rows
 
     def query_top_k(self, table_name: str, metric: str, k: int,
                     window_start: float | None = None) -> list[Row]:
-        """The K groups with the largest ``metric`` (dashboard helper)."""
-        rows = self.query(table_name, window_start)
+        """The K groups with the largest ``metric`` (dashboard helper).
 
-        def sort_value(row: Row) -> float:
-            value = row.get(metric)
-            if isinstance(value, list):  # topk() results sort by their head
-                return value[0] if value else float("-inf")
-            return value if value is not None else float("-inf")
-
-        rows.sort(key=sort_value, reverse=True)
-        return rows[:k]
+        Equal to ``sorted(rows, key=..., reverse=True)[:k]`` over
+        :func:`metric_rank`, ties kept in query order.
+        """
+        return heapq.nlargest(
+            k, self.query(table_name, window_start),
+            key=lambda row: metric_rank(row.get(metric)))
 
     def windows(self, table_name: str) -> list[float]:
-        """All window start times with any data (in memory or HBase)."""
-        starts = {
-            start for (name, start, _) in self._state if name == table_name
-        }
+        """All window start times with any data (in memory or HBase).
+
+        HBase row keys sort by window, so the scan jumps from each
+        window's first row straight past the window: ``}`` is the
+        character after the ``|`` that ends every window's key prefix.
+        Cost: one ``limit=1`` seek per window, not one read per row.
+        """
+        starts = set(self._window_starts.get(table_name, ()))
         prefix = f"{self.name}|{table_name}|"
-        for row_key, _ in self.hbase.scan(prefix, prefix + "￿"):
-            starts.add(float(row_key.split("|", 3)[2]))
-        return sorted(starts)
+        end = prefix + "￿"
+        cursor = prefix
+        while True:
+            first = next(self.hbase.scan(cursor, end, limit=1), None)
+            if first is None:
+                return sorted(starts)
+            window_text = first[0].split("|", 3)[2]
+            starts.add(float(window_text))
+            cursor = f"{prefix}{window_text}}}"
 
     # -- parallel-process support (Section 5.2) ---------------------------------------------
 
@@ -864,6 +901,19 @@ class PumaApp:  # lint: effect[output=at_least_once]
                 f"app {self.name!r} does not own bucket {bucket}"
             )
         return self._readers[bucket].position
+
+
+def metric_rank(value: Any) -> tuple[bool, Any]:
+    """Sort key ranking one metric value, for ``reverse=True`` sorts.
+
+    A ``topk()`` list ranks by its head. ``None`` and an empty list rank
+    after every present value. Python keeps a ``reverse=True`` sort
+    stable, so ties stay in input order. :meth:`PumaApp.query_top_k`
+    and the Puma dashboard panel both rank through this key.
+    """
+    if isinstance(value, list):
+        value = value[0] if value else None
+    return (False, 0) if value is None else (True, value)
 
 
 def combine_partial_states(table: TablePlan,

@@ -19,6 +19,22 @@ CREATE TABLE per_page AS
 SELECT page, count(*) AS n FROM clicks [1 minute];
 """
 
+AVG_PQL = """
+CREATE APPLICATION dash_avg;
+CREATE INPUT TABLE clicks(event_time, page, ms) FROM SCRIBE("clicks")
+TIME event_time;
+CREATE TABLE per_page AS
+SELECT page, avg(ms) AS mean FROM clicks [1 minute];
+"""
+
+TOPK_PQL = """
+CREATE APPLICATION dash_topk;
+CREATE INPUT TABLE clicks(event_time, page, ms) FROM SCRIBE("clicks")
+TIME event_time;
+CREATE TABLE per_page AS
+SELECT page, topk(ms, 2) AS worst FROM clicks [1 minute];
+"""
+
 
 def loaded_scuba():
     table = ScubaTable("clicks")
@@ -62,6 +78,41 @@ class TestPumaPanels:
         rows = panel.runner(0.0, 120.0)
         assert rows
         assert rows[0]["n"] >= rows[-1]["n"]
+
+    def test_null_average_ranks_last_instead_of_crashing(self, scribe, clock):
+        """A group whose every ``ms`` is null averages to None; the panel
+        ranks it last, as ``query_top_k`` does, rather than raising."""
+        scribe.create_category("clicks", 1)
+        app = PumaApp(plan(parse(AVG_PQL)), scribe, HBaseTable("s"),
+                      clock=clock)
+        for i, (page, ms) in enumerate([("home", 5), ("blank", None),
+                                        ("about", 9), ("blank", None),
+                                        ("home", 7)]):
+            scribe.write_record("clicks", {"event_time": float(i),
+                                           "page": page, "ms": ms})
+        app.pump(1000)
+        panel = DashboardPanel.from_puma("latency", app, "per_page", "mean")
+        rows = panel.runner(0.0, 60.0)
+        assert [(r["page"], r["mean"]) for r in rows] == [
+            ("about", 9.0), ("home", 6.0), ("blank", None)]
+        assert rows == app.query_top_k("per_page", "mean", 7, 0.0)
+
+    def test_empty_topk_ranks_last_across_windows(self, scribe, clock):
+        """An empty ``topk()`` list ranks after every present value, in
+        the panel's cross-window merge as in ``query_top_k``."""
+        scribe.create_category("clicks", 1)
+        app = PumaApp(plan(parse(TOPK_PQL)), scribe, HBaseTable("s"),
+                      clock=clock)
+        for event_time, page, ms in [(0.0, "home", -3), (1.0, "blank", None),
+                                     (61.0, "about", -1),
+                                     (62.0, "home", -2)]:
+            scribe.write_record("clicks", {"event_time": event_time,
+                                           "page": page, "ms": ms})
+        app.pump(1000)
+        panel = DashboardPanel.from_puma("slowest", app, "per_page", "worst")
+        rows = panel.runner(0.0, 120.0)
+        assert [(r["window_start"], r["page"]) for r in rows] == [
+            (60.0, "about"), (60.0, "home"), (0.0, "home"), (0.0, "blank")]
 
 
 class TestDashboard:

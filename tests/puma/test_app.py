@@ -231,6 +231,56 @@ class TestWindowEviction:
         assert total == 240
 
 
+
+def count_scanned_rows(app):
+    """Wrap ``app.hbase.scan``; one entry per scan call, counting the
+    rows that call yielded."""
+    counts = []
+    scan = app.hbase.scan
+
+    def counting_scan(*args, **kwargs):
+        counts.append(0)
+        for item in scan(*args, **kwargs):
+            counts[-1] += 1
+            yield item
+
+    app.hbase.scan = counting_scan
+    return counts
+
+
+class TestWindowScopedQuery:
+    """A one-window query costs that window, not the app's history."""
+
+    PAGES = ("home", "about", "faq", "blog")
+
+    @pytest.mark.parametrize("history", [2, 32])
+    def test_query_scans_only_the_asked_window(self, wired, history):
+        app = make_app(wired, checkpoint_every_events=1_000_000)
+        write_clicks(wired, 60 * history, pages=self.PAGES)
+        app.pump(100_000)
+        app.checkpoint()
+        newest = 60.0 * (history - 1)
+        # Dirty deltas on top of the durable rows are merged, not scanned.
+        write_clicks(wired, 8, pages=self.PAGES, start=newest)
+        app.pump(100_000)
+        visited = count_scanned_rows(app)
+        rows = app.query("clicks_1min", newest)
+        assert [(r["page"], r["n"]) for r in rows] == [
+            ("about", 17), ("blog", 17), ("faq", 17), ("home", 17)]
+        assert visited == [len(self.PAGES)]
+
+    @pytest.mark.parametrize("history", [2, 32])
+    def test_windows_seeks_once_per_window(self, wired, history):
+        app = make_app(wired, retain_windows=1)
+        write_clicks(wired, 60 * history, pages=self.PAGES)
+        app.pump(100_000)
+        app.checkpoint()
+        visited = count_scanned_rows(app)
+        assert app.windows("clicks_1min") == [
+            60.0 * i for i in range(history)]
+        # One row read per window, plus the final empty seek.
+        assert visited == [1] * history + [0]
+
 class TestPoisonMessages:
     def test_undecodable_message_is_skipped_and_counted(self, wired):
         app = make_app(wired)
